@@ -22,8 +22,8 @@ from __future__ import annotations
 import copy
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Protocol, \
-    Tuple
+from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, \
+    Protocol, Tuple
 
 from repro.cache.line import CacheSet
 from repro.cache.mshr import DRAINING, DoneCallback, FILLING, \
@@ -180,6 +180,9 @@ class Cache:
         #: True while admission has accesses queued - the signal Core
         #: uses to stall issue (plain attribute: read every core tick).
         self.stalled = False
+        #: Called whenever :attr:`stalled` clears - the admission-ready
+        #: wakeup a core parked on the stall waits for.
+        self.on_unstall: Optional[Callable[[], None]] = None
         if pipeline:
             self.access = self._admit_access  # type: ignore[method-assign]
         else:
@@ -317,6 +320,8 @@ class Cache:
         Called when a fill retires an MSHR entry.  Head-of-line order is
         strict: the loop stops at the first inadmissible access, which
         is what makes queued misses drain FIFO (per set and globally).
+        Emptying the queue clears :attr:`stalled` and fires
+        :attr:`on_unstall`.
         """
         pending = self._pending
         stats = self.stats
@@ -332,7 +337,12 @@ class Cache:
             self._process(addr, is_write, pc, now, on_done, core_id,
                           is_prefetch)
         if not pending:
-            self.stalled = False
+            self._unstall()
+
+    def _unstall(self) -> None:
+        self.stalled = False
+        if self.on_unstall is not None:
+            self.on_unstall()
 
     def _process(
         self,
@@ -714,7 +724,8 @@ class Cache:
             self.warm_access(addr, is_write, pc, is_prefetch=is_prefetch)
             if on_done is not None:
                 on_done(now)
-        self.stalled = False
+        if self.stalled:
+            self._unstall()
         if not self.mshr:
             return
         for la, entry in self.mshr.items():

@@ -7,9 +7,16 @@ until their data returns, and stores dirty cache lines that later percolate
 to the LLC and DRAM as writebacks.
 
 Event-efficiency: a core self-schedules ticks only while it can make
-progress.  When the ROB head is an outstanding load and the ROB is full (or
-the issue window is blocked), the core goes dormant and is woken by the
-load-completion callback, so stall time costs no events.
+progress.  When the ROB head is an outstanding load and the ROB is full,
+the core sleeps until the load-completion callback wakes it, so that wait
+costs no events.  When MSHR back-pressure stalls issue (``l1d.stalled``)
+and the ROB head cannot retire, the core would poll every cycle to no
+effect; it parks that poll on the engine instead (:meth:`Engine.park
+<repro.sim.engine.Engine.park>`).  The L1D draining its admission queue,
+or the head load completing, wakes it at the exact position its next
+poll would have had, and the skipped polls count as stall cycles.  A
+stall costs two events however long it lasts, except while the head
+keeps retiring: then the core still ticks every cycle.
 """
 
 from __future__ import annotations
@@ -90,6 +97,11 @@ class Core:
         self.finished = False
         self._sleeping = False
         self._tick_scheduled = False
+        #: The engine's handle on this core's parked stall poll, and the
+        #: tick of the last poll already counted in mshr_stall_cycles.
+        self._poller = None
+        self._park_tick = 0
+        l1d.on_unstall = self._unstalled
         self._last_fetch_line = -1
         #: Soft retirement quota (sampled intervals): the core keeps
         #: executing when it is reached - only the callback fires.
@@ -105,7 +117,12 @@ class Core:
         self._schedule_tick(self.engine.now)
 
     def reset_measurement(self, budget: int) -> None:
-        """Begin a fresh measurement epoch (end of warmup)."""
+        """Begin a fresh measurement epoch (end of warmup).
+
+        A parked stall carries over: polls after this point count in
+        the new epoch.
+        """
+        self._count_parked_polls()
         self.stats = CoreStats(start_tick=self.engine.now)
         self.budget = budget
         self.finished = False
@@ -127,8 +144,10 @@ class Core:
 
         The core is (re)scheduled if it is not already live - sampled
         intervals chain without interruption, but the first interval
-        after a functional warmup starts from an idle core.
+        after a functional warmup starts from an idle core, and a
+        parked stall carries over like :meth:`reset_measurement`'s.
         """
+        self._count_parked_polls()
         self.stats = CoreStats(start_tick=self.engine.now)
         self.budget = _UNBOUNDED
         self.finished = False
@@ -145,10 +164,14 @@ class Core:
         entries done), but the core schedules no further work until
         :meth:`begin_quota` or :meth:`reset_measurement`/:meth:`start`
         resume it.  Used by the sampled run loop so the event queue can
-        drain before functional warming mutates cache state.
+        drain before functional warming mutates cache state.  A parked
+        stall poll is woken to fire once and see the core idle, as a
+        polling core's next tick would.
         """
         self.finished = True
         self._sleeping = False
+        if self._poller is not None:
+            self._unpark()
 
     # ------------------------------------------------------------------
     # Functional warmup
@@ -202,9 +225,41 @@ class Core:
         self.engine.schedule(tick, self._tick)
 
     def _wake(self) -> None:
-        if self._sleeping and not self.finished:
-            self._sleeping = False
-            self._schedule_tick(self.engine.now)
+        if self._sleeping:
+            if not self.finished:
+                self._sleeping = False
+                self._schedule_tick(self.engine.now)
+        elif self._poller is not None:
+            head = self.rob.head
+            if head is not None and head.done_tick is not None:
+                self._unpark()
+
+    def _unstalled(self) -> None:
+        """The L1D admission queue drained: a parked stall poll resumes."""
+        if self._poller is not None:
+            self._unpark()
+
+    def _park(self, now: int) -> None:
+        """Park the stall poll due next cycle until a wakeup."""
+        self._tick_scheduled = True
+        self._park_tick = now
+        self._poller = self.engine.park(now + TICKS_PER_CPU_CYCLE,
+                                        TICKS_PER_CPU_CYCLE, self._tick)
+
+    def _count_parked_polls(self) -> None:
+        """Add the parked polls fired so far to ``mshr_stall_cycles``."""
+        poller = self._poller
+        if poller is not None:
+            last = poller.tick - TICKS_PER_CPU_CYCLE
+            self.stats.mshr_stall_cycles += \
+                (last - self._park_tick) // TICKS_PER_CPU_CYCLE
+            self._park_tick = last
+
+    def _unpark(self) -> None:
+        """Turn the parked poll into a real tick at its exact position."""
+        self._count_parked_polls()
+        self.engine.unpark(self._poller)
+        self._poller = None
 
     # ------------------------------------------------------------------
     # The per-activation core step
@@ -242,13 +297,20 @@ class Core:
 
         if self.l1d.stalled:
             # The L1D's MSHR admission queue backed up into us: issue
-            # stalls this cycle (retirement above still ran) and retries
-            # next cycle.  Progress is guaranteed - a non-empty queue
-            # implies a fill in flight.  Always False in the legacy
-            # regime, so the default configuration's event schedule is
-            # untouched.
+            # stalls this cycle (retirement above still ran).  While the
+            # ROB head can still retire the core retries next cycle;
+            # otherwise every retry would be a no-op until the queue
+            # drains or the head load completes, so the core parks
+            # until one of those wakes it.  Progress is guaranteed - a
+            # non-empty queue implies a fill in flight.  Always False in
+            # the legacy regime, so the default configuration's event
+            # schedule is untouched.
             stats.mshr_stall_cycles += 1
-            self._schedule_tick(now + cpu_cycle)
+            head = rob.head
+            if head is not None and head.done_tick is not None:
+                self._schedule_tick(now + cpu_cycle)
+            else:
+                self._park(now)
             return
 
         rob_entries = rob.entries

@@ -2,10 +2,12 @@
 
 A single binary-heap event queue keyed by ``(tick, sequence)`` so that
 simultaneous events fire in schedule order (deterministic runs).  Components
-self-schedule: cores tick themselves while they can make progress and go
-dormant when stalled (woken by memory-completion callbacks), and DRAM
-channels tick only while their queues are non-empty.  Simulated time is
-therefore proportional to *activity*, not wall-clock cycles.
+self-schedule: cores tick themselves while they can make progress, sleep
+when the ROB fills behind an outstanding load (woken by memory-completion
+callbacks), and *park* while MSHR back-pressure stalls their issue (see
+:meth:`Engine.park`); DRAM channels tick only while their queues are
+non-empty.  Simulated time is therefore proportional to *activity*, not
+wall-clock cycles.
 
 Performance notes (this is the innermost loop of every simulation):
 
@@ -24,6 +26,11 @@ Performance notes (this is the innermost loop of every simulation):
   per event - rather than calling a ``until()`` predicate before every
   dispatch.  The predicate form is still supported for callers that
   need it.
+* A poll that would only reschedule itself every cycle until something
+  else changes is parked off the heap as a *virtual poll*.  Every
+  dispatch path tests one local list for emptiness before a pop; only
+  while a poll is parked does it compare keys and, when a virtual poll
+  falls due, advance it arithmetically (:meth:`Engine._advance`).
 """
 
 from __future__ import annotations
@@ -37,10 +44,29 @@ from repro.errors import SimulationError
 Event = Tuple[int, int, Callable[..., None], tuple]
 
 
+class Poller:
+    """A parked periodic poll: its next firing is ``(tick, seq)``.
+
+    Returned by :meth:`Engine.park`; ``tick`` always names the next
+    poll that has not yet (virtually) fired.
+    """
+
+    __slots__ = ("tick", "seq", "period", "fn", "args")
+
+    def __init__(self, tick: int, seq: int, period: int,
+                 fn: Callable[..., None], args: tuple) -> None:
+        self.tick = tick
+        self.seq = seq
+        self.period = period
+        self.fn = fn
+        self.args = args
+
+
 class Engine:
     """Minimal deterministic discrete-event engine (integer ticks)."""
 
-    __slots__ = ("now", "events_fired", "_heap", "_seq", "_stopped")
+    __slots__ = ("now", "events_fired", "_heap", "_seq", "_stopped",
+                 "_parked", "_park_key")
 
     def __init__(self) -> None:
         self.now: int = 0
@@ -48,6 +74,9 @@ class Engine:
         self._heap: List[Event] = []
         self._seq: int = 0
         self._stopped: bool = False
+        #: Parked pollers, and the smallest ``(tick, seq)`` among them.
+        self._parked: List[Poller] = []
+        self._park_key: Tuple[int, int] = (0, 0)
 
     def schedule(self, tick: int, fn: Callable[..., None], *args) -> None:
         """Schedule ``fn(*args)`` to run at ``tick`` (clamped to the present).
@@ -65,6 +94,99 @@ class Engine:
         """Schedule ``fn(*args)`` after ``delay`` ticks."""
         self.schedule(self.now + delay, fn, *args)
 
+    # ------------------------------------------------------------------
+    # Parked pollers
+    # ------------------------------------------------------------------
+
+    def park(self, tick: int, period: int, fn: Callable[..., None],
+             *args) -> Poller:
+        """Schedule ``fn(*args)`` at ``tick``, then every ``period`` - virtually.
+
+        For a poll that would fire and do nothing but reschedule itself
+        ``period`` ticks later until its owner is woken.  Instead of
+        occupying the heap, the poll waits off it, keyed exactly as the
+        events it stands for would have been: the first at ``(tick,
+        seq)`` with ``seq`` drawn now, as :meth:`schedule` draws it, and
+        each later one at the next ``period`` with the sequence number
+        current when its predecessor fired.  :meth:`unpark` turns the
+        next unfired poll into a real event at that key, so waking a
+        parked poller preserves the same-tick order a polling loop
+        would have produced.  Virtual polls never run ``fn``, never
+        count as fired events and never move the clock.
+
+        The poll is registered through :meth:`schedule`, so anything
+        that wraps ``schedule`` (a tracer) wraps the woken event too.
+        """
+        heap = self._heap
+        self._heap = box = []
+        try:
+            self.schedule(tick, fn, *args)
+        finally:
+            self._heap = heap
+        ((tick, seq, fn, args),) = box
+        poller = Poller(tick, seq, period, fn, args)
+        parked = self._parked
+        parked.append(poller)
+        if len(parked) == 1 or (tick, seq) < self._park_key:
+            self._park_key = (tick, seq)
+        return poller
+
+    def unpark(self, poller: Poller) -> int:
+        """Make ``poller``'s next poll a real event; returns its tick."""
+        parked = self._parked
+        parked.remove(poller)
+        heapq.heappush(self._heap,
+                       (poller.tick, poller.seq, poller.fn, poller.args))
+        if parked:
+            self._park_key = min((p.tick, p.seq) for p in parked)
+        return poller.tick
+
+    def _advance(self, limit: tuple) -> None:
+        """Fire, virtually, every parked poll keyed before ``limit``.
+
+        ``limit`` is the next real event (or a ``(tick, -1)`` horizon).
+        A poller whose next poll is at ``(t, s) < limit`` fires its polls
+        at ``t, t + period, ...`` up to the last one keyed before
+        ``limit``: each poll after the first draws a sequence number
+        newer than every queued event, so only the first may fire at
+        ``limit``'s own tick, ahead of it.  The successor of each
+        poller's last fired poll becomes its new key, with a sequence
+        number drawn in the order those last polls fired: by tick, then
+        fewer polls fired first, then by the old key.  (Walk two equal-
+        period chains back from a shared tick one period at a time: the
+        shorter reaches its first poll, whose sequence number predates
+        this advance, while the other is still on a repeat.  Pollers
+        with different periods never meet at a tick again, so how they
+        tie does not matter.)
+        """
+        limit_tick = limit[0]
+        fired = []
+        for p in self._parked:
+            tick, seq = p.tick, p.seq
+            if (tick, seq) < limit:
+                period = p.period
+                polls = max(1, (limit_tick - tick + period - 1) // period)
+                fired.append((tick + (polls - 1) * period, polls, seq, p))
+        fired.sort(key=lambda order: order[:3])
+        seq = self._seq
+        for last, _, _, p in fired:
+            p.tick = last + p.period
+            p.seq = seq
+            seq += 1
+        self._seq = seq
+        self._park_key = min((p.tick, p.seq) for p in self._parked)
+
+    def _drained(self) -> None:
+        """The heap is empty: nothing is left that could wake a poller."""
+        if self._parked:
+            raise SimulationError(
+                f"{len(self._parked)} parked poller(s) remain with no "
+                "event left to wake them")
+
+    # ------------------------------------------------------------------
+    # Dispatch
+    # ------------------------------------------------------------------
+
     def stop(self) -> None:
         """Ask the current :meth:`run` call to return after this event.
 
@@ -76,14 +198,17 @@ class Engine:
 
     @property
     def pending(self) -> int:
-        """Number of events waiting in the queue."""
-        return len(self._heap)
+        """Events waiting in the queue; a parked poller counts as one."""
+        return len(self._heap) + len(self._parked)
 
     def step(self) -> bool:
         """Run the next event; returns False when the queue is empty."""
         heap = self._heap
         if not heap:
+            self._drained()
             return False
+        if self._parked and self._park_key < heap[0]:
+            self._advance(heap[0])
         tick, _, fn, args = heapq.heappop(heap)
         if tick < self.now:
             raise SimulationError("event queue went backwards in time")
@@ -102,9 +227,11 @@ class Engine:
         Without ``until`` this is the fast path: events are dispatched in
         same-tick batches and only the :meth:`stop` flag is tested between
         events.  With ``until`` the predicate is evaluated before every
-        event, exactly as the historical engine did.
+        event, exactly as the historical engine did.  Virtual polls are
+        not events: ``until()`` is not evaluated between them.
         """
         heap = self._heap
+        parked = self._parked
         pop = heapq.heappop
         fired = 0
         limit = max_events
@@ -121,6 +248,8 @@ class Engine:
                     # so the storm guard must run per event - a zero-delay
                     # self-rescheduling loop never leaves this batch.
                     while heap and heap[0][0] == tick:
+                        if parked and self._park_key < heap[0]:
+                            self._advance(heap[0])
                         _, _, fn, args = pop(heap)
                         fired += 1
                         fn(*args)
@@ -132,9 +261,15 @@ class Engine:
                                 "likely an event storm"
                             )
             else:
-                while heap:
+                # A parked poll stands for a queued event, so until() is
+                # consulted while one waits even if the heap is empty.
+                while heap or parked:
                     if self._stopped or until():
                         return
+                    if not heap:
+                        break
+                    if parked and self._park_key < heap[0]:
+                        self._advance(heap[0])
                     tick, _, fn, args = pop(heap)
                     self.now = tick
                     fired += 1
@@ -144,6 +279,7 @@ class Engine:
                             f"exceeded max_events={max_events}; "
                             "likely an event storm"
                         )
+            self._drained()
         finally:
             self.events_fired += fired
 
@@ -154,16 +290,20 @@ class Engine:
         call from inside an event halts at that event boundary (the
         clock stays at the stopping event's tick), and ``max_events``
         bounds the dispatch count so a zero-delay self-rescheduling
-        event cannot spin forever inside the window.
+        event cannot spin forever inside the window.  Parked polls due
+        inside the window fire (virtually) before it closes.
         """
         deadline = self.now + ticks
         heap = self._heap
+        parked = self._parked
         pop = heapq.heappop
         fired = 0
         limit = max_events
         self._stopped = False
         try:
             while heap and heap[0][0] <= deadline:
+                if parked and self._park_key < heap[0]:
+                    self._advance(heap[0])
                 tick, _, fn, args = pop(heap)
                 self.now = tick
                 fired += 1
@@ -177,5 +317,7 @@ class Engine:
                     )
         finally:
             self.events_fired += fired
+        if parked and self._park_key[0] <= deadline:
+            self._advance((deadline + 1, -1))
         if self.now < deadline:
             self.now = deadline
