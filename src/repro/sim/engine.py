@@ -28,15 +28,19 @@ Performance notes (this is the innermost loop of every simulation):
   need it.
 * A poll that would only reschedule itself every cycle until something
   else changes is parked off the heap as a *virtual poll*.  Every
-  dispatch path tests one local list for emptiness before a pop; only
-  while a poll is parked does it compare keys and, when a virtual poll
-  falls due, advance it arithmetically (:meth:`Engine._advance`).
+  dispatch path tests one local set for emptiness before a pop; only
+  while a poll is parked does it compare keys and, when virtual polls
+  fall due, advance them arithmetically (:meth:`Engine._advance`).
+  Parked pollers travel in *cohorts* - pollers that share a period, a
+  next-poll tick and a contiguous block of sequence numbers - so an
+  advance costs O(cohorts), not O(parked pollers): a cohort moves as a
+  whole, and cohorts that land together merge.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Set, Tuple
 
 from repro.errors import SimulationError
 
@@ -44,29 +48,54 @@ from repro.errors import SimulationError
 Event = Tuple[int, int, Callable[..., None], tuple]
 
 
-class Poller:
-    """A parked periodic poll: its next firing is ``(tick, seq)``.
+class _Cohort:
+    """Parked pollers that share one period and one next-poll tick.
 
-    Returned by :meth:`Engine.park`; ``tick`` always names the next
-    poll that has not yet (virtually) fired.
+    Member ``i``'s next poll is keyed ``(tick, base + i)``: the members
+    hold one contiguous block of sequence numbers, in firing order, and
+    no real event holds a number inside it.  Against any real event a
+    cohort is therefore due as a whole or not at all.
     """
 
-    __slots__ = ("tick", "seq", "period", "fn", "args")
+    __slots__ = ("tick", "base", "period", "members")
 
-    def __init__(self, tick: int, seq: int, period: int,
-                 fn: Callable[..., None], args: tuple) -> None:
+    def __init__(self, tick: int, base: int, period: int,
+                 members: List["Poller"]) -> None:
         self.tick = tick
-        self.seq = seq
+        self.base = base
         self.period = period
+        self.members = members
+        for poller in members:
+            poller.cohort = self
+
+
+class Poller:
+    """A parked periodic poll, returned by :meth:`Engine.park`.
+
+    ``tick`` names the next poll that has not yet (virtually) fired;
+    once :meth:`Engine.unpark` has woken the poller it stays at the
+    tick of the woken poll.
+    """
+
+    __slots__ = ("cohort", "woken_tick", "fn", "args")
+
+    def __init__(self, fn: Callable[..., None], args: tuple) -> None:
+        self.cohort: Optional[_Cohort] = None
+        self.woken_tick = 0
         self.fn = fn
         self.args = args
+
+    @property
+    def tick(self) -> int:
+        cohort = self.cohort
+        return self.woken_tick if cohort is None else cohort.tick
 
 
 class Engine:
     """Minimal deterministic discrete-event engine (integer ticks)."""
 
     __slots__ = ("now", "events_fired", "_heap", "_seq", "_stopped",
-                 "_parked", "_park_key")
+                 "_parked", "_cohorts", "_park_key")
 
     def __init__(self) -> None:
         self.now: int = 0
@@ -74,8 +103,10 @@ class Engine:
         self._heap: List[Event] = []
         self._seq: int = 0
         self._stopped: bool = False
-        #: Parked pollers, and the smallest ``(tick, seq)`` among them.
-        self._parked: List[Poller] = []
+        #: Parked pollers, the cohorts they travel in, and the smallest
+        #: ``(tick, seq)`` among them.
+        self._parked: Set[Poller] = set()
+        self._cohorts: List[_Cohort] = []
         self._park_key: Tuple[int, int] = (0, 0)
 
     def schedule(self, tick: int, fn: Callable[..., None], *args) -> None:
@@ -124,22 +155,47 @@ class Engine:
         finally:
             self._heap = heap
         ((tick, seq, fn, args),) = box
-        poller = Poller(tick, seq, period, fn, args)
-        parked = self._parked
-        parked.append(poller)
-        if len(parked) == 1 or (tick, seq) < self._park_key:
+        poller = Poller(fn, args)
+        cohorts = self._cohorts
+        cohorts.append(_Cohort(tick, seq, period, [poller]))
+        self._parked.add(poller)
+        if len(cohorts) == 1 or (tick, seq) < self._park_key:
             self._park_key = (tick, seq)
         return poller
 
     def unpark(self, poller: Poller) -> int:
-        """Make ``poller``'s next poll a real event; returns its tick."""
+        """Make ``poller``'s next poll a real event; returns its tick.
+
+        The woken poll keeps its key, which lies inside its cohort's
+        block, so the cohort splits around it.
+        """
         parked = self._parked
+        if poller not in parked:
+            raise SimulationError(
+                "unpark() of a poller that is not parked here: it was "
+                "woken already, or the handle is stale")
         parked.remove(poller)
-        heapq.heappush(self._heap,
-                       (poller.tick, poller.seq, poller.fn, poller.args))
-        if parked:
-            self._park_key = min((p.tick, p.seq) for p in parked)
-        return poller.tick
+        cohort = poller.cohort
+        members = cohort.members
+        i = members.index(poller)
+        tick = cohort.tick
+        seq = cohort.base + i
+        heapq.heappush(self._heap, (tick, seq, poller.fn, poller.args))
+        poller.cohort = None
+        poller.woken_tick = tick
+        del members[i]
+        cohorts = self._cohorts
+        if not members:
+            cohorts.remove(cohort)
+        elif i == 0:
+            cohort.base = seq + 1
+        elif i < len(members):
+            cohorts.append(_Cohort(tick, seq + 1, cohort.period,
+                                   members[i:]))
+            del members[i:]
+        if cohorts:
+            self._park_key = min((c.tick, c.base) for c in cohorts)
+        return tick
 
     def _advance(self, limit: tuple) -> None:
         """Fire, virtually, every parked poll keyed before ``limit``.
@@ -158,23 +214,46 @@ class Engine:
         this advance, while the other is still on a repeat.  Pollers
         with different periods never meet at a tick again, so how they
         tie does not matter.)
+
+        The members of a cohort share all three sort keys but the old
+        one, which orders them as their block does, so each due cohort
+        moves as a whole to a fresh block.  Due cohorts that sort next
+        to each other and land on one tick with one period merge.
         """
         limit_tick = limit[0]
-        fired = []
-        for p in self._parked:
-            tick, seq = p.tick, p.seq
-            if (tick, seq) < limit:
-                period = p.period
-                polls = max(1, (limit_tick - tick + period - 1) // period)
-                fired.append((tick + (polls - 1) * period, polls, seq, p))
-        fired.sort(key=lambda order: order[:3])
+        limit_seq = limit[1]
+        cohorts = self._cohorts
+        due = []
+        for c in cohorts:
+            tick = c.tick
+            if tick < limit_tick or (tick == limit_tick
+                                     and c.base < limit_seq):
+                period = c.period
+                polls = (limit_tick - tick + period - 1) // period or 1
+                due.append((tick + (polls - 1) * period, polls, c.base, c))
+        # Blocks are disjoint, so no two entries tie before the cohort.
+        due.sort()
         seq = self._seq
-        for last, _, _, p in fired:
-            p.tick = last + p.period
-            p.seq = seq
-            seq += 1
+        prev = None
+        for last, _, _, c in due:
+            tick = last + c.period
+            members = c.members
+            if prev is not None and prev.tick == tick \
+                    and prev.period == c.period:
+                for poller in members:
+                    poller.cohort = prev
+                prev.members += members
+                cohorts.remove(c)
+            else:
+                c.tick = tick
+                c.base = seq
+                prev = c
+            seq += len(members)
         self._seq = seq
-        self._park_key = min((p.tick, p.seq) for p in self._parked)
+        if len(cohorts) == 1:
+            self._park_key = (cohorts[0].tick, cohorts[0].base)
+        else:
+            self._park_key = min((c.tick, c.base) for c in cohorts)
 
     def _drained(self) -> None:
         """The heap is empty: nothing is left that could wake a poller."""

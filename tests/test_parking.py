@@ -5,14 +5,17 @@ with random programs of events and pollers, once with pollers that
 reschedule themselves every period (the reference) and once with
 pollers parked on the engine; the two must dispatch the same real events
 in the same order, at the same ticks, through every dispatch path.
-``PollingCore`` is a :class:`~repro.cpu.core.Core` whose MSHR stall
-branch re-polls every cycle instead of parking; systems built from it
-are the reference the parked core must match counter for counter.
+``_check_cohorts`` asserts the invariants of the cohorts the engine
+keeps its parked pollers in.  ``PollingCore`` is a
+:class:`~repro.cpu.core.Core` whose MSHR stall branch re-polls every
+cycle instead of parking; systems built from it are the reference the
+parked core must match counter for counter.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from typing import List, NamedTuple, Optional, Sequence
 
 import pytest
 from hypothesis import given, settings
@@ -34,15 +37,58 @@ from .conftest import tiny_config
 FINAL_TICK = 400
 
 
+def _check_cohorts(eng: Engine) -> None:
+    """The invariants that let a cohort of parked pollers move as one."""
+    cohorts = eng._cohorts
+    blocks = sorted((c.base, c.base + len(c.members)) for c in cohorts)
+    for (_, end), (start, _) in zip(blocks, blocks[1:]):
+        assert end <= start, "cohort blocks overlap"
+    # A real event inside a block would make the cohort partly due.
+    for _, seq, _, _ in eng._heap:
+        assert not any(start <= seq < end for start, end in blocks)
+    members = []
+    for c in cohorts:
+        assert c.members and c.period > 0
+        keys = []
+        for i, poller in enumerate(c.members):
+            assert poller.cohort is c
+            keys.append((poller.tick, c.base + i))
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        members += c.members
+    if cohorts:
+        assert eng._park_key == min((c.tick, c.base) for c in cohorts)
+    assert len(members) == len(eng._parked)
+    assert set(members) == eng._parked
+
+
+class Program(NamedTuple):
+    """What a :class:`World` runs.
+
+    ``events[i]`` lists event ``i``'s actions; ``initial`` schedules
+    ``(tick, event)`` pairs up front.  A poller with an echo delay, on
+    the poll that finds it ready, schedules an echo that fires that many
+    ticks later: a woken poll that draws a sequence number, as a woken
+    core's tick does.  The final event wakes the pollers in
+    ``final_wakes`` order, then any it leaves out.
+    """
+
+    periods: List[int]
+    events: List[list]
+    initial: List[tuple]
+    echoes: List[Optional[int]]
+    final_wakes: Sequence[int] = ()
+
+
 class World:
     """An engine, pollers and a program of events that wake them."""
 
-    def __init__(self, program, parked: bool) -> None:
-        periods, events, initial = program
+    def __init__(self, program: Program, parked: bool) -> None:
+        periods, events, initial, echoes, self.final_wakes = program
         self.eng = Engine()
         self.parked = parked
         self.periods = periods
         self.events = events
+        self.echoes = echoes
         n = len(periods)
         self.log = []
         self.ready = [False] * n
@@ -87,12 +133,17 @@ class World:
         if self.ready[p]:
             self.active[p] = False
             self.log.append(("ready", p, now))
+            if self.echoes[p] is not None:
+                self.eng.schedule_in(self.echoes[p], self.echo, p)
         elif self.parked:
             self.park_tick[p] = now
             self.handles[p] = self.eng.park(now + self.periods[p],
                                             self.periods[p], self.poll, p)
         else:
             self.eng.schedule(now + self.periods[p], self.poll, p)
+
+    def echo(self, p: int) -> None:
+        self.log.append(("echo", p, self.eng.now))
 
     def wake(self, p: int) -> None:
         self.ready[p] = True
@@ -102,10 +153,11 @@ class World:
             tick = self.eng.unpark(handle)
             self.polls[p] += (tick - self.park_tick[p]) \
                 // self.periods[p] - 1
+            _check_cohorts(self.eng)
 
     def wake_all(self) -> None:
         self.log.append(("final", self.eng.now))
-        for p in range(len(self.periods)):
+        for p in (*self.final_wakes, *range(len(self.periods))):
             self.wake(p)
 
     def drive(self, ops) -> None:
@@ -127,6 +179,7 @@ class World:
                 while len(self.log) < target and eng.step():
                     pass
             self.log.append(("op", op, eng.now, eng.pending))
+            _check_cohorts(eng)
         while eng.pending:
             eng.run()
             self.log.append(("resume", eng.now))
@@ -144,6 +197,11 @@ _actions = st.one_of(
 @st.composite
 def programs(draw):
     periods = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    shared = draw(st.booleans())
+    if shared:
+        # One period and one first poll for three or four pollers: their
+        # parks line up into one cohort, and wakes split it.
+        periods = [periods[0]] * draw(st.integers(3, 4))
     n_events = draw(st.integers(1, 24))
     events = []
     for i in range(n_events):
@@ -155,10 +213,16 @@ def programs(draw):
         st.tuples(st.integers(0, 30), st.integers(0, n_events - 1)),
         min_size=1, max_size=8))
     # Arm every poller early so most programs park something.
-    arms = [("arm", p, draw(st.integers(0, 3)))
+    delay = draw(st.integers(0, 3))
+    arms = [("arm", p, delay if shared else draw(st.integers(0, 3)))
             for p in range(len(periods))]
     events[0] = arms + events[0]
-    return periods, events, initial
+    echoes = draw(st.lists(st.one_of(st.none(), st.integers(0, 5)),
+                           min_size=len(periods), max_size=len(periods)))
+    # Pollers still parked at the end share a cohort more often than
+    # not; a shuffled final wake splits it in the middle.
+    final_wakes = draw(st.permutations(range(len(periods))))
+    return Program(periods, events, initial, echoes, final_wakes)
 
 
 _ops = st.lists(st.one_of(
@@ -280,6 +344,58 @@ class TestParkingUnits:
         assert fired == ["poll"]
         assert eng.events_fired == 1
 
+    def test_a_wake_splits_its_cohort(self):
+        """Three pollers poll every 2 ticks in one cohort; an event at 3
+        wakes the middle one, whose poll at 4 echoes at 6, and an event
+        at 5 wakes the others.  At 4 the first poller's poll fires
+        before the woken one and the third's after it, so at 6 the
+        first is ready before the echo and the third after it."""
+        program = Program([2, 2, 2],
+                          [[("arm", p, 0) for p in range(3)],
+                           [("wake", 1)],
+                           [("wake", 0), ("wake", 2)]],
+                          [(0, 0), (3, 1), (5, 2)],
+                          [None, 2, None])
+        reference = World(program, parked=False)
+        reference.drive([])
+        parked = World(program, parked=True)
+        parked.eng.run_for(2)
+        (cohort,) = parked.eng._cohorts
+        assert cohort.members == parked.handles and cohort.tick == 4
+        parked.drive([])
+        assert reference.log[:7] == [
+            ("event", 0, 0), ("event", 1, 3), ("ready", 1, 4),
+            ("event", 2, 5), ("ready", 0, 6), ("echo", 1, 6),
+            ("ready", 2, 6)]
+        _assert_equivalent(reference, parked)
+
+    def test_unparking_a_poller_that_is_not_parked_is_an_error(self):
+        eng = Engine()
+        poller = eng.park(3, 3, lambda: None)
+        assert eng.unpark(poller) == 3
+        with pytest.raises(SimulationError, match="not parked"):
+            eng.unpark(poller)
+        with pytest.raises(SimulationError, match="not parked"):
+            Engine().unpark(eng.park(3, 3, lambda: None))
+        assert eng.pending == 2
+        _check_cohorts(eng)
+
+    def test_a_woken_poller_keeps_its_tick(self):
+        eng = Engine()
+        pollers = [eng.park(3, 3, lambda: None) for _ in range(3)]
+        # The polls at 3 fire virtually and the three merge at 6.
+        eng.run_for(4)
+        (cohort,) = eng._cohorts
+        assert cohort.members == pollers
+        assert eng.unpark(pollers[1]) == 6
+        # The woken poll fires at 6; the others fire 6, 9 and 12 virtually.
+        eng.run_for(10)
+        _check_cohorts(eng)
+        assert [p.tick for p in pollers] == [15, 6, 15]
+        assert eng.unpark(pollers[0]) == 15 and eng.unpark(pollers[2]) == 15
+        eng.run()
+        assert eng.events_fired == 3
+
     def test_park_routes_through_a_wrapped_schedule(self):
         """A tracer that wraps schedule() also wraps the woken poll."""
         seen = []
@@ -320,6 +436,7 @@ def _check_parks(system: System) -> None:
     parked = system.engine._parked
     owners = [c for c in system.cores if c._poller is not None]
     assert sorted(map(id, parked)) == sorted(id(c._poller) for c in owners)
+    _check_cohorts(system.engine)
     for core in owners:
         head = core.rob.head
         assert not core.finished and core._tick_scheduled
