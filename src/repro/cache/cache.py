@@ -116,7 +116,15 @@ class CacheStats:
 
 
 class Cache:
-    """One level of the cache hierarchy."""
+    """One level of the cache hierarchy.
+
+    ``access`` is bound per instance to :meth:`_process` (legacy MSHR
+    regime) or :meth:`_admit_access` (MSHR pipeline).  :meth:`_process`
+    ends by training the prefetcher through
+    :meth:`~repro.prefetch.base.Prefetcher.on_access`, its one hook, and
+    issues the surviving targets through ``self.access`` read at that
+    moment, so a re-bound entry point sees prefetches too.
+    """
 
     def __init__(
         self,
@@ -362,7 +370,8 @@ class Cache:
         if is_prefetch:
             stats.prefetch_accesses += 1
 
-        way = self._tags[set_idx].get(la)
+        tags = self._tags
+        way = tags[set_idx].get(la)
         if way is not None:
             hit_line = self.sets[set_idx].lines[way]
             stats.hits += 1
@@ -379,66 +388,55 @@ class Cache:
             if on_done is not None:
                 done_at = now + self.hit_latency_ticks
                 self.engine.schedule(done_at, on_done, done_at)
-            if self.prefetcher is not None and not is_prefetch:
-                self._run_prefetcher(addr, pc, hit=True, now=now,
-                                     is_prefetch=is_prefetch)
-            return
-
-        # Miss: merge into an outstanding MSHR or allocate a new one.
-        stats.misses += 1
-        if is_prefetch:
-            stats.prefetch_misses += 1
-        elif is_write:
-            stats.write_misses += 1
         else:
-            stats.read_misses += 1
+            # Miss: merge into an outstanding MSHR or allocate a new one.
+            stats.misses += 1
+            if is_prefetch:
+                stats.prefetch_misses += 1
+            elif is_write:
+                stats.write_misses += 1
+            else:
+                stats.read_misses += 1
 
-        word = (addr >> 3) & _WORD_IDX_MASK
-        entry = self.mshr.get(la)
-        if entry is not None:
-            mask_before = entry.word_mask
-            entry.merge(is_write, is_prefetch, on_done, word=word)
-            stats.mshr_merges += 1
-            if entry.word_mask != mask_before:
-                stats.coalesced_words += 1
-            if not is_prefetch:
-                stats.secondary_misses += 1
-        else:
-            entry = MSHREntry(
-                line_addr=la,
-                is_write=is_write,
-                pc=pc,
-                core_id=core_id,
-                is_prefetch=is_prefetch,
-                allocated_tick=now,
-                word_mask=1 << word,
-            )
-            if on_done is not None:
-                entry.waiters.append(on_done)
-            self.mshr[la] = entry
-            occ = len(self.mshr)
-            hist = stats.mshr_occupancy_hist
-            if len(hist) <= occ:
-                hist.extend([0] * (occ + 1 - len(hist)))
-            hist[occ] += 1
-            self._try_issue(la, now)
-        if self.prefetcher is not None and not is_prefetch:
-            self._run_prefetcher(addr, pc, hit=False, now=now,
-                                 is_prefetch=is_prefetch)
+            word = (addr >> 3) & _WORD_IDX_MASK
+            entry = self.mshr.get(la)
+            if entry is not None:
+                mask_before = entry.word_mask
+                entry.merge(is_write, is_prefetch, on_done, word)
+                stats.mshr_merges += 1
+                if entry.word_mask != mask_before:
+                    stats.coalesced_words += 1
+                if not is_prefetch:
+                    stats.secondary_misses += 1
+            else:
+                entry = MSHREntry(la, is_write, pc, core_id, is_prefetch,
+                                  now, word_mask=1 << word)
+                if on_done is not None:
+                    entry.waiters.append(on_done)
+                self.mshr[la] = entry
+                occ = len(self.mshr)
+                hist = stats.mshr_occupancy_hist
+                if len(hist) <= occ:
+                    hist.extend([0] * (occ + 1 - len(hist)))
+                hist[occ] += 1
+                self._try_issue(la, now)
 
-    def _run_prefetcher(self, addr: int, pc: int, hit: bool, now: int,
-                        is_prefetch: bool) -> None:
+        # Train the prefetcher on demand accesses and issue the targets
+        # not already resident, outstanding or on this line.
         if self.prefetcher is None or is_prefetch:
             return
-        for target in self.prefetcher.on_access(addr, pc, hit):
+        targets = self.prefetcher.on_access(addr, pc, way is not None)
+        if not targets:
+            return
+        set_mask = self._set_mask
+        mshr = self.mshr
+        access = self.access
+        for target in targets:
             tla = target & _LINE_MASK
-            if tla == addr & _LINE_MASK:
+            if tla == la or tla in tags[(tla >> LINE_BITS) & set_mask] \
+                    or tla in mshr:
                 continue
-            if tla in self._tags[(tla >> LINE_BITS) & self._set_mask]:
-                continue
-            if tla in self.mshr:
-                continue
-            self.access(tla, False, pc, now, None, is_prefetch=True)
+            access(tla, False, pc, now, None, 0, True)
 
     # ------------------------------------------------------------------
     # Miss handling

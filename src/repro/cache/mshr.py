@@ -54,9 +54,9 @@ def word_index(addr: int) -> int:
     return (addr >> 3) & (WORDS_PER_LINE - 1)
 
 
-@dataclass
+@dataclass(slots=True)
 class MSHREntry:
-    """State for one outstanding line fill."""
+    """State for one outstanding line fill (slotted: one per miss)."""
 
     line_addr: int
     is_write: bool

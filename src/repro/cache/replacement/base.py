@@ -22,8 +22,9 @@ class ReplacementPolicy(abc.ABC):
     Snapshot contract: the warm-state checkpoint layer
     (:mod:`repro.sim.warmstate`) captures and restores a policy with
     ``copy.deepcopy``, so implementations must keep *all* mutable state
-    in deep-copyable attributes (plain containers, ints, or picklable
-    iterators such as ``itertools.count``) and must not hold references
+    in deep-copyable attributes (plain containers and ints - not
+    iterators such as ``itertools.count``, whose deep copy is deprecated
+    since Python 3.12 and removed in 3.14) and must not hold references
     to the engine, the cache, or other simulation components.  Every
     shipped policy (LRU, SRRIP, SHiP, DRRIP) satisfies this.
     """

@@ -89,4 +89,6 @@ class DRRIPPolicy(ReplacementPolicy):
     def eviction_order(self, set_idx: int,
                        lines: Sequence[CacheLine]) -> List[int]:
         rrpv = self.rrpv[set_idx]
-        return sorted(range(self.ways), key=lambda w: (-rrpv[w], w))
+        # Descending RRPV; a reversed sort is still stable, so ties stay
+        # in way order.
+        return sorted(range(self.ways), key=rrpv.__getitem__, reverse=True)

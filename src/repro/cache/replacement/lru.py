@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 from typing import List, Sequence
 
 from repro.cache.line import CacheLine
@@ -13,25 +12,25 @@ class LRUPolicy(ReplacementPolicy):
     """Least-recently-used with a precise recency order per set.
 
     Implemented with a monotonically increasing timestamp per (set, way);
-    the smallest timestamp is the LRU way.
+    the smallest timestamp is the LRU way.  The clock is a plain int
+    (the last stamp handed out), so a policy deep-copies cleanly into
+    warm-state snapshots.
     """
 
     name = "lru"
 
     def __init__(self, num_sets: int, ways: int) -> None:
         super().__init__(num_sets, ways)
-        self._clock = itertools.count(1)
+        self._clock = 0
         self._stamp = [[0] * ways for _ in range(num_sets)]
-
-    def _touch(self, set_idx: int, way: int) -> None:
-        self._stamp[set_idx][way] = next(self._clock)
 
     def on_fill(self, set_idx: int, way: int, pc: int,
                 is_prefetch: bool = False) -> None:
-        self._touch(set_idx, way)
+        clock = self._clock = self._clock + 1
+        self._stamp[set_idx][way] = clock
 
-    def on_hit(self, set_idx: int, way: int, pc: int) -> None:
-        self._touch(set_idx, way)
+    #: A hit makes the way most recent, exactly as a fill does.
+    on_hit = on_fill
 
     def victim(self, set_idx: int, lines: Sequence[CacheLine]) -> int:
         stamps = self._stamp[set_idx]
@@ -47,4 +46,4 @@ class LRUPolicy(ReplacementPolicy):
     def eviction_order(self, set_idx: int,
                        lines: Sequence[CacheLine]) -> List[int]:
         stamps = self._stamp[set_idx]
-        return sorted(range(self.ways), key=lambda w: stamps[w])
+        return sorted(range(self.ways), key=stamps.__getitem__)

@@ -50,4 +50,6 @@ class SRRIPPolicy(ReplacementPolicy):
                        lines: Sequence[CacheLine]) -> List[int]:
         """Ways from greatest to least RRPV (paper section VII-E)."""
         rrpv = self.rrpv[set_idx]
-        return sorted(range(self.ways), key=lambda w: (-rrpv[w], w))
+        # Descending RRPV; a reversed sort is still stable, so ties stay
+        # in way order.
+        return sorted(range(self.ways), key=rrpv.__getitem__, reverse=True)

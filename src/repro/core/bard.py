@@ -96,17 +96,13 @@ class BardPolicy(WritebackPolicy):
     # Tracker plumbing
     # ------------------------------------------------------------------
 
-    def _channel_bank(self, line_addr: int) -> tuple[int, int]:
-        coord = self.mapping.map(line_addr)
-        return coord.channel, coord.bank_id
-
     def _improves_blp(self, line_addr: int) -> bool:
         """True when the line maps to a bank without a pending write."""
-        channel, bank = self._channel_bank(line_addr)
+        channel, bank = self.mapping.channel_bank(line_addr)
         return not self.tracker.is_pending(channel, bank)
 
     def on_writeback(self, line_addr: int) -> None:
-        channel, bank = self._channel_bank(line_addr)
+        channel, bank = self.mapping.channel_bank(line_addr)
         self.tracker.mark_writeback(channel, bank)
 
     # ------------------------------------------------------------------

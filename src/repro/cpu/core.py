@@ -59,7 +59,19 @@ class CoreStats:
 
 
 class Core:
-    """One out-of-order core fed by a trace iterator."""
+    """One out-of-order core fed by a trace iterator.
+
+    :meth:`_tick`, the per-cycle step, writes its retire loop, the
+    instruction-fetch line check and the next-tick plan out inline.  It
+    sends a memory instruction straight to ``self.l1d.access`` when the
+    DTLB adds no delay (a delayed one goes through :meth:`_send` on the
+    engine), and it looks the cache entry points up at each call, never
+    at construction: a cache's ``access`` may be re-bound on the
+    instance after the system is built (the layer tracer does this).
+    The non-load instructions issued in one cycle share one ROB entry;
+    that is safe because only a load's entry is ever written to, by its
+    completion callback.
+    """
 
     def __init__(
         self,
@@ -269,22 +281,29 @@ class Core:
         self._tick_scheduled = False
         if self.finished:
             return
-        # Invariant per-access state (config-derived widths, the ROB, the
-        # trace cursor, the clock ratio) is hoisted into locals: this
-        # method runs once per active CPU cycle per core.
+        # This method runs once per active CPU cycle per core, so the
+        # retire loop, the fetch-line check and the next-tick plan are
+        # written out here rather than called, and invariant state is
+        # hoisted into locals.
         now = self.engine.now
         stats = self.stats
-        rob = self.rob
+        rob_entries = self.rob.entries
         budget = self.budget
         cpu_cycle = TICKS_PER_CPU_CYCLE
 
         quota = self._quota
         cap = budget if quota is None or budget < quota else quota
-        remaining = cap - stats.retired
-        if remaining < self.retire_width:
-            stats.retired += rob.retire_ready(now, remaining)
-        else:
-            stats.retired += rob.retire_ready(now, self.retire_width)
+        limit = cap - stats.retired
+        if limit > self.retire_width:
+            limit = self.retire_width
+        retired = 0
+        while retired < limit and rob_entries:
+            done_tick = rob_entries[0].done_tick
+            if done_tick is None or done_tick > now:
+                break
+            rob_entries.popleft()
+            retired += 1
+        stats.retired += retired
         if quota is not None and stats.retired >= quota:
             # Soft window boundary: record it and keep executing.
             stats.finish_tick = now
@@ -306,57 +325,82 @@ class Core:
             # the legacy regime, so the default configuration's event
             # schedule is untouched.
             stats.mshr_stall_cycles += 1
-            head = rob.head
+            head = self.rob.head
             if head is not None and head.done_tick is not None:
                 self._schedule_tick(now + cpu_cycle)
             else:
                 self._park(now)
             return
 
-        rob_entries = rob.entries
-        rob_size = rob.size
+        rob_size = self.rob.size
         trace_next = self.trace.__next__
         push = rob_entries.append
-        fetch = self._fetch
-        issued = 0
-        issue_width = self.issue_width
-        while issued < issue_width and len(rob_entries) < rob_size:
+        core_id = self.core_id
+        dtlb_translate = self.dtlb.translate
+        last_line = self._last_fetch_line
+        wake = self._wake
+        # The non-load records of this cycle share one entry (see the
+        # class docstring for why that is safe).
+        ready = RobEntry(now + cpu_cycle)
+        # Every record takes one ROB entry, and nothing else touches the
+        # ROB while the core issues, so the room left fixes the count.
+        room = rob_size - len(rob_entries)
+        count = self.issue_width if self.issue_width < room else room
+        for _ in range(count):
             kind, addr, pc = trace_next()
-            fetch(pc, now)
+            line = pc >> LINE_BITS
+            if line != last_line:
+                # Instruction-side traffic: one L1I access per new line.
+                last_line = self._last_fetch_line = line
+                self.itlb.translate(pc)
+                self.l1i.access(pc, False, pc, now, None, core_id)
             if kind == NONMEM:
-                push(RobEntry(now + cpu_cycle))
+                push(ready)
                 stats.nonmem += 1
             elif kind == LOAD:
                 entry = RobEntry(None, is_load=True)
                 push(entry)
                 stats.loads += 1
-                self._issue_load(addr, pc, now, entry)
+
+                def done(t: int, entry: RobEntry = entry) -> None:
+                    entry.done_tick = t
+                    wake()
+
+                delay = dtlb_translate(addr) * cpu_cycle
+                if delay:
+                    self.engine.schedule(now + delay, self._send, addr,
+                                         False, pc, done)
+                else:
+                    self.l1d.access(addr, False, pc, now, done, core_id)
             else:
                 # Stores retire immediately (post-retirement store buffer);
                 # the write still traverses the hierarchy and dirties lines.
-                push(RobEntry(now + cpu_cycle))
+                push(ready)
                 stats.stores += 1
-                self._issue_store(addr, pc, now)
-            issued += 1
+                delay = dtlb_translate(addr) * cpu_cycle
+                if delay:
+                    self.engine.schedule(now + delay, self._send, addr,
+                                         True, pc, None)
+                else:
+                    self.l1d.access(addr, True, pc, now, None, core_id)
 
-        self._plan_next(now)
-
-    def _plan_next(self, now: int) -> None:
-        if not self.rob.full:
+        if count < room:
             # Still issuing: out-of-order issue continues past a blocked
             # head until the ROB fills.
-            self._schedule_tick(now + TICKS_PER_CPU_CYCLE)
-            return
-        head = self.rob.head
-        if head is not None and head.done_tick is not None:
-            self._schedule_tick(
-                max(head.done_tick, now + TICKS_PER_CPU_CYCLE)
-            )
+            next_tick = now + cpu_cycle
         else:
-            # ROB full behind an outstanding load; sleep until a
-            # completion callback wakes us.
-            self._sleeping = True
-            self.stats.sleeps += 1
+            done_tick = rob_entries[0].done_tick if rob_entries else None
+            if done_tick is None:
+                # ROB full behind an outstanding load; sleep until a
+                # completion callback wakes us.
+                self._sleeping = True
+                stats.sleeps += 1
+                return
+            next_tick = done_tick if done_tick > now + cpu_cycle \
+                else now + cpu_cycle
+        if not (self._tick_scheduled or self.finished):
+            self._tick_scheduled = True
+            self.engine.schedule(next_tick, self._tick)
 
     def _finish(self, now: int) -> None:
         self.finished = True
@@ -368,40 +412,8 @@ class Core:
     # Memory interfaces
     # ------------------------------------------------------------------
 
-    def _issue_load(self, addr: int, pc: int, now: int,
-                    entry: RobEntry) -> None:
-        delay = self.dtlb.translate(addr) * TICKS_PER_CPU_CYCLE
-
-        def done(t: int) -> None:
-            entry.done_tick = t
-            self._wake()
-
-        def send() -> None:
-            self.l1d.access(addr, False, pc, self.engine.now, done,
-                            core_id=self.core_id)
-
-        if delay:
-            self.engine.schedule(now + delay, send)
-        else:
-            send()
-
-    def _issue_store(self, addr: int, pc: int, now: int) -> None:
-        delay = self.dtlb.translate(addr) * TICKS_PER_CPU_CYCLE
-
-        def send() -> None:
-            self.l1d.access(addr, True, pc, self.engine.now, None,
-                            core_id=self.core_id)
-
-        if delay:
-            self.engine.schedule(now + delay, send)
-        else:
-            send()
-
-    def _fetch(self, pc: int, now: int) -> None:
-        """Instruction-side traffic: one L1I access per new fetch line."""
-        line = pc >> LINE_BITS
-        if line == self._last_fetch_line:
-            return
-        self._last_fetch_line = line
-        self.itlb.translate(pc)
-        self.l1i.access(pc, False, pc, now, None, core_id=self.core_id)
+    def _send(self, addr: int, is_write: bool, pc: int,
+              on_done: Optional[Callable[[int], None]]) -> None:
+        """An access the DTLB delayed reaches the L1D."""
+        self.l1d.access(addr, is_write, pc, self.engine.now, on_done,
+                        core_id=self.core_id)

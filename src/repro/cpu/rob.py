@@ -7,7 +7,12 @@ from typing import Deque, Optional
 
 
 class RobEntry:
-    """One in-flight instruction; ``done_tick`` is None while outstanding."""
+    """One in-flight instruction; ``done_tick`` is None while outstanding.
+
+    Only a load's entry is ever mutated (its completion sets
+    ``done_tick``), so the core pushes one shared entry for all the
+    non-load instructions it issues in a cycle.
+    """
 
     __slots__ = ("done_tick", "is_load")
 

@@ -25,6 +25,7 @@ the Zen layout shifts up accordingly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
 from repro.dram.commands import LINE_BITS, DramCoord
 from repro.errors import MappingError
@@ -158,6 +159,25 @@ class ZenMapping:
         addr |= (coord.row & ((1 << self.row_bits) - 1)) << bit
         return addr
 
+    def channel_bank(self, addr: int) -> Tuple[int, int]:
+        """``(channel, bank_id)`` of the coordinate :meth:`map` returns.
+
+        Computed from the address bits without building a
+        :class:`DramCoord`: BARD's victim scan asks this for every
+        candidate line.
+        """
+        if addr < 0:
+            raise MappingError(f"negative address {addr:#x}")
+        bg = (addr >> self._bg_shift) & self._bg_mask
+        ba = (addr >> self._ba_shift) & self._ba_mask
+        if self.pbpl:
+            row = addr >> self._row_shift
+            ba ^= row & self._ba_mask
+            bg ^= (row >> _BA_BITS) & self._bg_mask
+        sc = (addr >> self._sc_shift) & self._sc_mask
+        return ((addr >> LINE_BITS) & self._ch_mask,
+                (((sc << _BG_BITS) | bg) << _BA_BITS) | ba)
+
     def bank_id(self, addr: int) -> int:
         """Flat per-channel bank index (0..63) for BLP-Tracker lookups."""
-        return self.map(addr).bank_id
+        return self.channel_bank(addr)[1]

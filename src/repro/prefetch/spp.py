@@ -11,15 +11,17 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.dram.commands import LINE_SIZE
 from repro.prefetch.base import Prefetcher
 
 _PAGE_BITS = 12
 _SIG_BITS = 12
 _SIG_MASK = (1 << _SIG_BITS) - 1
+_BLOCK_MASK = (1 << (_PAGE_BITS - 6)) - 1
 _TABLE_SIZE = 1024
+#: Lookahead steps; at most two keeps the targets distinct lines.
 _LOOKAHEAD = 2
 _MIN_CONF = 2
+_MAX_CONF = 7
 
 
 def _update_signature(sig: int, delta: int) -> int:
@@ -39,52 +41,49 @@ class SPPPrefetcher(Prefetcher):
         # signature -> {delta: confidence}
         self._patterns: Dict[int, Dict[int, int]] = {}
 
-    def _best_delta(self, sig: int) -> Tuple[int, int]:
-        deltas = self._patterns.get(sig)
-        if not deltas:
-            return 0, 0
-        delta = max(deltas, key=lambda d: deltas[d])
-        return delta, deltas[delta]
-
     def predict(self, addr: int, pc: int, hit: bool) -> List[int]:
         page = addr >> _PAGE_BITS
-        block = (addr >> 6) & ((1 << (_PAGE_BITS - 6)) - 1)
-        state = self._pages.get(page)
+        block = (addr >> 6) & _BLOCK_MASK
+        pages = self._pages
+        state = pages.get(page)
+        if state is None:
+            if len(pages) >= _TABLE_SIZE:
+                pages.pop(next(iter(pages)))
+            pages[page] = (0, block)
+            return []
+        sig, last_block = state
+        delta = block - last_block
+        if delta == 0:
+            pages[page] = (sig, block)
+            return []
+        patterns = self._patterns
+        bucket = patterns.get(sig)
+        if bucket is None:
+            bucket = patterns[sig] = {}
+            if len(patterns) > _TABLE_SIZE:
+                patterns.pop(next(iter(patterns)))
+        conf = bucket.get(delta, 0)
+        if conf < _MAX_CONF:
+            bucket[delta] = conf + 1
+        sig = _update_signature(sig, delta)
+        pages[page] = (sig, block)
+        # Chain lookahead predictions from the updated signature.  Every
+        # stored delta is non-zero, so the (at most two) lookahead
+        # targets are distinct lines and need no de-duplication.
         targets: List[int] = []
-        if state is not None:
-            sig, last_block = state
-            delta = block - last_block
-            if delta != 0:
-                bucket = self._patterns.setdefault(sig, {})
-                bucket[delta] = min(bucket.get(delta, 0) + 1, 7)
-                if len(self._patterns) > _TABLE_SIZE:
-                    self._patterns.pop(next(iter(self._patterns)))
-                sig = _update_signature(sig, delta)
-                # Chain lookahead predictions from the updated signature.
-                cur_block = block
-                cur_sig = sig
-                for _ in range(_LOOKAHEAD):
-                    pred, conf = self._best_delta(cur_sig)
-                    if conf < _MIN_CONF or pred == 0:
-                        break
-                    cur_block += pred
-                    if not 0 <= cur_block < (1 << (_PAGE_BITS - 6)):
-                        break
-                    targets.append(
-                        (page << _PAGE_BITS) | (cur_block << 6)
-                    )
-                    cur_sig = _update_signature(cur_sig, pred)
-            self._pages[page] = (sig, block)
-        else:
-            if len(self._pages) >= _TABLE_SIZE:
-                self._pages.pop(next(iter(self._pages)))
-            self._pages[page] = (0, block)
-        # Deduplicate same-line targets.
-        seen = set()
-        unique: List[int] = []
-        for t in targets[: self.degree]:
-            line = t // LINE_SIZE
-            if line not in seen:
-                seen.add(line)
-                unique.append(t)
-        return unique
+        cur_block = block
+        cur_sig = sig
+        for _ in range(_LOOKAHEAD):
+            deltas = patterns.get(cur_sig)
+            if not deltas:
+                break
+            pred = max(deltas, key=deltas.__getitem__)
+            if deltas[pred] < _MIN_CONF:
+                break
+            cur_block += pred
+            if not 0 <= cur_block <= _BLOCK_MASK:
+                break
+            targets.append((page << _PAGE_BITS) | (cur_block << 6))
+            cur_sig = _update_signature(cur_sig, pred)
+        del targets[self.degree:]
+        return targets

@@ -64,10 +64,8 @@ class MemoryController:
 
     def pending_writes_for_line(self, line_addr: int) -> int:
         """Ground truth for the BLP-Tracker accuracy probe."""
-        coord = self.mapping.map(line_addr)
-        return self.channels[coord.channel].pending_writes_for_bank(
-            coord.bank_id
-        )
+        channel, bank = self.mapping.channel_bank(line_addr)
+        return self.channels[channel].pending_writes_for_bank(bank)
 
     def finalize(self) -> None:
         for channel in self.channels:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import bisect
 import random
-from typing import Iterator, List
+from typing import Iterator, List, Tuple
 
 from repro.cpu.trace import LOAD, NONMEM, STORE, TraceRecord
 
@@ -43,18 +43,17 @@ def _align(addr: int) -> int:
     return addr & ~7
 
 
-class _PcStream:
-    """Cycles program counters over a code footprint of ``code_bytes``."""
+def _pc_cycle(base: int, code_bytes: int) -> Tuple[int, int, int]:
+    """PCs cycling in 4-byte steps over a ``code_bytes`` code footprint.
 
-    def __init__(self, base: int, code_bytes: int) -> None:
-        self.base = base
-        self.limit = max(64, code_bytes)
-        self.offset = 0
-
-    def next(self) -> int:
-        pc = self.base + self.offset
-        self.offset = (self.offset + 4) % self.limit
-        return pc
+    Returns ``(first, last, back)``.  A generator keeps its PC in a
+    local and advances it after every record with ``pc = pc + 4 if pc <
+    last else pc - back``: the step from the region's last PC wraps to
+    the offset ``(offset + 4) % footprint`` again.
+    """
+    footprint = max(64, code_bytes)
+    first = base + _CODE_BASE
+    return first, first + footprint - 4, footprint - 4
 
 
 def stream_trace(
@@ -76,17 +75,19 @@ def stream_trace(
     bases = [base + _DATA_BASE + i * (array_bytes + 4096)
              for i in range(arrays)]
     elements = array_bytes // _ELEM
-    pcs = _PcStream(base + _CODE_BASE, code_bytes)
+    pc, pc_last, pc_back = _pc_cycle(base, code_bytes)
     i = 0
     while True:
         for a in range(loads_per_iter):
-            yield (LOAD, bases[a] + (i % elements) * _ELEM, pcs.next())
+            yield (LOAD, bases[a] + (i % elements) * _ELEM, pc)
+            pc = pc + 4 if pc < pc_last else pc - pc_back
         for _ in range(nonmem_per_iter):
-            yield (NONMEM, 0, pcs.next())
+            yield (NONMEM, 0, pc)
+            pc = pc + 4 if pc < pc_last else pc - pc_back
         for s in range(stores_per_iter):
-            yield (STORE,
-                   bases[loads_per_iter + s] + (i % elements) * _ELEM,
-                   pcs.next())
+            yield (STORE, bases[loads_per_iter + s] + (i % elements) * _ELEM,
+                   pc)
+            pc = pc + 4 if pc < pc_last else pc - pc_back
         i += 1
 
 
@@ -114,11 +115,12 @@ def graph_trace(
     vertex_base = base + _DATA_BASE
     edge_base = vertex_base + vertex_bytes + 4096
     edge_stream_bytes = 4 * vertex_bytes
-    pcs = _PcStream(base + _CODE_BASE, code_bytes)
+    pc, pc_last, pc_back = _pc_cycle(base, code_bytes)
     edge_pos = 0
     while True:
         # Sequential scan of the compressed edge array.
-        yield (LOAD, edge_base + edge_pos, pcs.next())
+        yield (LOAD, edge_base + edge_pos, pc)
+        pc = pc + 4 if pc < pc_last else pc - pc_back
         edge_pos = (edge_pos + _ELEM * edges_per_vertex) % edge_stream_bytes
         for _ in range(edges_per_vertex):
             if rng.random() < hot_prob:
@@ -126,11 +128,14 @@ def graph_trace(
             else:
                 target = rng.randrange(vertices)
             addr = vertex_base + target * _ELEM
-            yield (LOAD, addr, pcs.next())
+            yield (LOAD, addr, pc)
+            pc = pc + 4 if pc < pc_last else pc - pc_back
             for _ in range(nonmem_per_edge):
-                yield (NONMEM, 0, pcs.next())
+                yield (NONMEM, 0, pc)
+                pc = pc + 4 if pc < pc_last else pc - pc_back
             if rng.random() < store_prob:
-                yield (STORE, addr, pcs.next())
+                yield (STORE, addr, pc)
+                pc = pc + 4 if pc < pc_last else pc - pc_back
 
 
 def blend_trace(
@@ -147,11 +152,12 @@ def blend_trace(
     """SPEC-like blend of streaming and random working-set traffic."""
     rng = random.Random(seed)
     data_base = base + _DATA_BASE
-    pcs = _PcStream(base + _CODE_BASE, code_bytes)
+    pc, pc_last, pc_back = _pc_cycle(base, code_bytes)
     stream_pos = 0
     while True:
         for _ in range(nonmem_per_mem):
-            yield (NONMEM, 0, pcs.next())
+            yield (NONMEM, 0, pc)
+            pc = pc + 4 if pc < pc_last else pc - pc_back
         if rng.random() < stream_fraction:
             addr = data_base + stream_pos
             stream_pos = (stream_pos + _ELEM) % ws_bytes
@@ -159,10 +165,9 @@ def blend_trace(
             addr = data_base + _align(rng.randrange(hot_bytes))
         else:
             addr = data_base + _align(rng.randrange(ws_bytes))
-        if rng.random() < store_fraction:
-            yield (STORE, addr, pcs.next())
-        else:
-            yield (LOAD, addr, pcs.next())
+        kind = STORE if rng.random() < store_fraction else LOAD
+        yield (kind, addr, pc)
+        pc = pc + 4 if pc < pc_last else pc - pc_back
 
 
 def server_trace(
@@ -190,10 +195,11 @@ def server_trace(
     placement = list(range(objects))
     rng.shuffle(placement)
     heap_base = base + _DATA_BASE
-    pcs = _PcStream(base + _CODE_BASE, code_bytes)
+    pc, pc_last, pc_back = _pc_cycle(base, code_bytes)
     while True:
         for _ in range(nonmem_per_mem):
-            yield (NONMEM, 0, pcs.next())
+            yield (NONMEM, 0, pc)
+            pc = pc + 4 if pc < pc_last else pc - pc_back
         rank = bisect.bisect_left(cdf, rng.random())
         if rank >= ranks:
             rank = ranks - 1
@@ -204,9 +210,10 @@ def server_trace(
         offset = _align(rng.randrange(object_bytes))
         addr = heap_base + obj * object_bytes + offset
         kind = STORE if rng.random() < store_fraction else LOAD
-        yield (kind, addr, pcs.next())
+        yield (kind, addr, pc)
+        pc = pc + 4 if pc < pc_last else pc - pc_back
         # Touch a second field of the same object half the time.
         if rng.random() < 0.5:
             offset2 = _align(rng.randrange(object_bytes))
-            yield (LOAD, heap_base + obj * object_bytes + offset2,
-                   pcs.next())
+            yield (LOAD, heap_base + obj * object_bytes + offset2, pc)
+            pc = pc + 4 if pc < pc_last else pc - pc_back

@@ -129,3 +129,20 @@ class TestRoundTrip:
         m = ZenMapping(pbpl=False)
         la = addr & ~(LINE_SIZE - 1)
         assert m.compose(m.map(la)) == la
+
+
+class TestChannelBank:
+    """``channel_bank`` is ``map``'s (channel, bank_id), by bit arithmetic."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(addr=st.integers(min_value=0, max_value=(1 << 48) - 1),
+           pbpl=st.booleans(), channels=st.sampled_from([1, 2, 4]))
+    def test_matches_map(self, addr, pbpl, channels):
+        m = ZenMapping(channels=channels, pbpl=pbpl)
+        coord = m.map(addr)
+        assert m.channel_bank(addr) == (coord.channel, coord.bank_id)
+        assert m.bank_id(addr) == coord.bank_id
+
+    def test_rejects_negative(self):
+        with pytest.raises(MappingError):
+            ZenMapping().channel_bank(-64)

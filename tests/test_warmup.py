@@ -271,3 +271,57 @@ class TestWarmGroupKey:
             warm_config_signature(cfg.with_device("x8"))
         assert warm_config_signature(cfg) != \
             warm_config_signature(replace(cfg, cores=4))
+
+
+# ----------------------------------------------------------------------
+# Snapshots deep-copy policy state without deprecated copy support
+# ----------------------------------------------------------------------
+
+#: What a policy or prefetcher may hold for ``copy.deepcopy`` to copy it
+#: on every supported Python (iterators such as ``itertools.count`` lose
+#: deep-copy support in 3.14 and warn from 3.12).
+_PLAIN = (bool, int, float, str, type(None))
+
+
+def _plain_data(value) -> bool:
+    if isinstance(value, _PLAIN):
+        return True
+    if isinstance(value, (list, tuple, set, frozenset)):
+        return all(_plain_data(v) for v in value)
+    if isinstance(value, dict):
+        return all(_plain_data(k) and _plain_data(v)
+                   for k, v in value.items())
+    if hasattr(value, "__dict__") or hasattr(value, "__slots__"):
+        fields = dict(getattr(value, "__dict__", {}))
+        for name in getattr(type(value), "__slots__", ()):
+            fields[name] = getattr(value, name)
+        return all(_plain_data(v) for v in fields.values())
+    return False
+
+
+class TestSnapshotCopySupport:
+    @pytest.mark.parametrize("policy", ["lru", "srrip", "ship", "drrip"])
+    def test_snapshot_and_restore_raise_no_deprecation(self, policy):
+        import warnings
+
+        cfg = _config(warmup_instructions=500,
+                      sim_instructions=500).with_replacement(policy)
+        donor = System(cfg, trace_factory("lbm", cfg, seed=7))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            snapshot = donor.snapshot_warm_state()
+            restored = System(cfg, trace_factory("lbm", cfg, seed=7))
+            restored.restore_warm_state(snapshot)
+        assert restored.run(label="lbm").instructions == \
+            cfg.cores * cfg.sim_instructions
+
+    @pytest.mark.parametrize("policy", ["lru", "srrip", "ship", "drrip"])
+    def test_policy_state_is_plain_data(self, policy):
+        """Holds on Pythons that do not warn yet, too."""
+        cfg = _config(warmup_instructions=500,
+                      sim_instructions=500).with_replacement(policy)
+        snapshot = System(cfg, trace_factory("lbm", cfg, seed=7)) \
+            .snapshot_warm_state()
+        for cache in snapshot.caches:
+            assert _plain_data(cache.repl), type(cache.repl).__name__
+            assert _plain_data(cache.prefetcher)
