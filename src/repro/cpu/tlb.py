@@ -56,15 +56,11 @@ class TLB:
         if page in s:
             s[page] = clock
             return True
-        self._insert(s, page, clock)
-        return False
-
-    def _insert(self, s: Dict[int, int], page: int, clock: int) -> None:
-        """Miss path: count it, evict the set's LRU page if full, insert."""
         self.stats.misses += 1
         if len(s) >= self.ways:
             del s[min(s, key=s.__getitem__)]
         s[page] = clock
+        return False
 
     def snapshot(self) -> TLBState:
         """Copy of the translation state (stats excluded)."""
@@ -96,21 +92,9 @@ class TLBHierarchy:
         self.walk_latency = walk_latency
 
     def translate(self, addr: int) -> int:
-        """Added latency (CPU cycles) for translating ``addr``.
-
-        Runs once per memory instruction, so the L1 lookup - a hit on
-        almost every access - is written out here; it updates exactly
-        what :meth:`TLB.lookup` would.
-        """
-        l1 = self.l1
-        page = addr >> PAGE_BITS
-        s = l1._sets[page % l1.num_sets]
-        l1.stats.accesses += 1
-        clock = l1._clock = l1._clock + 1
-        if page in s:
-            s[page] = clock
+        """Added latency (CPU cycles) for translating ``addr``."""
+        if self.l1.lookup(addr):
             return 0
-        l1._insert(s, page, clock)
         if self.l2.lookup(addr):
             return self.l2_latency
         return self.l2_latency + self.walk_latency

@@ -51,28 +51,15 @@ class BertiPrefetcher(Prefetcher):
         table[pc] = (addr, delta, conf)
         if conf < _CONFIDENT:
             return []
-        # ``delta`` is non-zero here: it equals ``new_delta`` either way.
+        # ``delta`` is non-zero, so the targets are monotone and any that
+        # share a line are adjacent: comparing with the last kept line
+        # de-duplicates them.
         targets: List[int] = []
         target = addr
+        last = None
         for _ in range(self.degree):
             target += delta
-            if target > 0:
+            if target > 0 and target >> LINE_BITS != last:
                 targets.append(target)
-        if len(targets) == 2:
-            # The common degree: two targets, a one-compare de-dup.
-            if targets[0] >> LINE_BITS == targets[1] >> LINE_BITS:
-                del targets[1]
-            return targets
-        return _unique_lines(targets)
-
-
-def _unique_lines(targets: List[int]) -> List[int]:
-    """``targets`` minus those on a line an earlier target covers."""
-    seen = set()
-    unique: List[int] = []
-    for t in targets:
-        line = t >> LINE_BITS
-        if line not in seen:
-            seen.add(line)
-            unique.append(t)
-    return unique
+                last = target >> LINE_BITS
+        return targets

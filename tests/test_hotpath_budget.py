@@ -1,14 +1,22 @@
 """Python-call budget for the per-access hot path.
 
-Host seconds vary from machine to machine; the number of Python calls a
-run makes does not.  This test runs the ``write_drain`` pair - ``copy``
-under the baseline and BARD-H writeback policies, on ``small_8core`` at
-600 + 1,500 instructions per core - under :mod:`cProfile` and holds the
-calls per simulated instruction (warmup included) under a ceiling 3%
-above the count the current code makes.  A change that puts a call
-back on the core -> TLB -> L1D -> prefetcher path fails it; the failure
-message lists calls per 1k instructions by layer (``repro`` subpackage),
-with builtin calls counted in the layer of their caller.
+Host seconds vary from machine to machine; on one interpreter version
+the number of Python calls a run makes does not.  This test runs three
+legs on ``small_8core`` at 600 + 1,500 instructions per core - the
+``write_drain`` pair (``copy`` under the baseline and BARD-H writeback
+policies) plus ``bc`` under BARD-H, whose LLC writebacks take BARD's
+victim scan and bank lookups that ``copy`` at this budget never
+reaches - under :mod:`cProfile`, and holds the calls per simulated
+instruction (warmup included) of each leg under a ceiling 3% above the
+count the current code makes.  A change that puts a call back on the core -> TLB
+-> L1D -> prefetcher path or on the BARD writeback path fails it; the
+failure message lists calls per 1k instructions by layer (``repro``
+subpackage), with builtin calls counted in the layer of their caller.
+
+Call counts depend on the interpreter (CPython 3.12 inlines
+comprehensions and rebuilds :mod:`cProfile` on ``sys.monitoring``), so
+the ceilings hold for the version it was measured on, CPython 3.11 -
+the version CI runs - and the test is skipped on any other.
 
 Print the table with::
 
@@ -18,10 +26,14 @@ Print the table with::
 from __future__ import annotations
 
 import cProfile
+import platform
 import pstats
+import sys
 from collections import Counter
 from dataclasses import replace
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
+
+import pytest
 
 from repro.config.presets import small_8core
 from repro.sim.system import System
@@ -29,8 +41,17 @@ from repro.workloads.suites import trace_factory
 
 WARMUP, SIM = 600, 1_500
 
-#: Measured 25.55 calls per instruction (CPython 3.11), plus 3%.
-CEILING = 26.32
+#: The interpreter the ceilings were measured on.
+MEASURED_ON = (3, 11)
+
+#: Calls per instruction ceiling of each (workload, writeback policy)
+#: leg, ``None`` being the baseline: the count measured on CPython 3.11,
+#: plus 3%.
+CEILINGS = {
+    ("copy", None): 26.45,       # measured 25.68
+    ("copy", "bard-h"): 26.45,   # measured 25.69
+    ("bc", "bard-h"): 74.72,     # measured 72.55
+}
 
 
 def _layer(filename: str) -> str:
@@ -43,17 +64,15 @@ def _layer(filename: str) -> str:
     return rest.split("/")[0] if "/" in rest else rest[:-3]
 
 
-def profile_pair() -> Tuple[int, Dict[str, int]]:
-    """(simulated instructions, Python calls by layer) for the pair."""
-    configs = [replace(small_8core(), warmup_instructions=WARMUP,
-                       sim_instructions=SIM).with_writeback(policy)
-               for policy in (None, "bard-h")]
-    systems = [System(c, trace_factory("copy", c, seed=7))
-               for c in configs]
+def profile_leg(workload: str, policy: Optional[str]
+                ) -> Tuple[int, Dict[str, int], int]:
+    """(simulated instructions, Python calls by layer, BARD checks)."""
+    config = replace(small_8core(), warmup_instructions=WARMUP,
+                     sim_instructions=SIM).with_writeback(policy)
+    system = System(config, trace_factory(workload, config, seed=7))
     profile = cProfile.Profile()
     profile.enable()
-    for system in systems:
-        system.run(label="copy")
+    result = system.run(label=workload)
     profile.disable()
     calls: Counter = Counter()
     for (filename, _, _), (_, count, _, _, callers) in \
@@ -64,8 +83,9 @@ def profile_pair() -> Tuple[int, Dict[str, int]]:
         # A builtin's calls go to the layers of the code calling it.
         for (caller_file, _, _), caller_stats in callers.items():
             calls[_layer(caller_file)] += caller_stats[1]
-    instructions = sum(c.cores * (WARMUP + SIM) for c in configs)
-    return instructions, dict(calls)
+    checked = (result.bard_accuracy.checked
+               if result.bard_accuracy is not None else 0)
+    return config.cores * (WARMUP + SIM), dict(calls), checked
 
 
 def _table(instructions: int, calls: Dict[str, int]) -> str:
@@ -74,15 +94,29 @@ def _table(instructions: int, calls: Dict[str, int]) -> str:
                      for layer, n in rows)
 
 
-def test_calls_per_instruction_within_budget():
-    instructions, calls = profile_pair()
+@pytest.mark.skipif(
+    sys.version_info[:2] != MEASURED_ON
+    or platform.python_implementation() != "CPython",
+    reason="call counts were measured on CPython 3.11 and differ on "
+           "other interpreters")
+@pytest.mark.parametrize("workload,policy", list(CEILINGS))
+def test_calls_per_instruction_within_budget(workload, policy):
+    instructions, calls, checked = profile_leg(workload, policy)
+    # copy makes no LLC writeback at this budget; bc must, so that the
+    # budget covers BARD's victim scan and bank lookups.
+    assert workload == "copy" or checked > 0
     per_instruction = sum(calls.values()) / instructions
-    assert per_instruction <= CEILING, (
-        f"{per_instruction:.2f} Python calls per simulated instruction, "
-        f"ceiling {CEILING}; by layer:\n{_table(instructions, calls)}")
+    ceiling = CEILINGS[workload, policy]
+    assert per_instruction <= ceiling, (
+        f"{workload}/{policy or 'baseline'}: {per_instruction:.2f} Python "
+        f"calls per simulated instruction, ceiling {ceiling}; by layer:\n"
+        f"{_table(instructions, calls)}")
 
 
 if __name__ == "__main__":
-    n, by_layer = profile_pair()
-    print(f"{sum(by_layer.values()) / n:.2f} calls per instruction")
-    print(_table(n, by_layer))
+    for workload, policy in CEILINGS:
+        n, by_layer, bard_checks = profile_leg(workload, policy)
+        print(f"{workload}/{policy or 'baseline'}: "
+              f"{sum(by_layer.values()) / n:.2f} calls per instruction, "
+              f"{bard_checks} BARD checks")
+        print(_table(n, by_layer))

@@ -1,6 +1,8 @@
 """Prefetchers: Berti-like stride detection and SPP-like signature paths."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigError
 from repro.prefetch import (
@@ -44,6 +46,24 @@ class TestBerti:
             targets = p.on_access(i * 8, pc, hit=True)  # sub-line stride
         lines = [t // 64 for t in targets]
         assert len(lines) == len(set(lines))
+
+    @settings(max_examples=300, deadline=None)
+    @given(degree=st.integers(1, 6), addr=st.integers(0, 1 << 20),
+           delta=st.integers(-5000, 5000).filter(bool))
+    def test_targets_keep_first_of_each_line(self, degree, addr, delta):
+        # Every positive addr + k * delta, k = 1..degree, in order, less
+        # those on a line an earlier target already covers.
+        p = BertiPrefetcher(degree=degree)
+        for k in range(3):
+            targets = p.on_access(addr + k * delta, 0x400, hit=True)
+        last = addr + 2 * delta
+        expected, lines = [], set()
+        for k in range(1, degree + 1):
+            t = last + k * delta
+            if t > 0 and t // 64 not in lines:
+                lines.add(t // 64)
+                expected.append(t)
+        assert targets == expected
 
     def test_stats(self):
         p = BertiPrefetcher()
